@@ -13,12 +13,14 @@ Cfg build_cfg(const ebpf::Program& prog) {
   Cfg cfg;
   cfg.block_of.assign(n, -1);
 
-  // Leaders: entry, jump targets, fall-throughs after jumps/exits.
+  // Leaders: entry, jump targets, fall-throughs after jumps/exits. Targets
+  // outside the program get no block (and so no edge).
   std::set<int> leaders{0};
   for (int i = 0; i < n; ++i) {
     const Insn& insn = prog.insns[i];
     if (ebpf::is_jump(insn.op)) {
-      leaders.insert(i + 1 + insn.off);
+      int target = i + 1 + insn.off;
+      if (target >= 0 && target < n) leaders.insert(target);
       if (i + 1 < n) leaders.insert(i + 1);
     } else if (insn.op == Opcode::EXIT && i + 1 < n) {
       leaders.insert(i + 1);

@@ -169,6 +169,7 @@ std::string ServeLoop::handle(const std::string& line, bool* stop) {
       j.set("solver", solver_json(m.solver, service_.options().solver_workers));
       j.set("cache", cache_json(m.cache, m.pending_eq));
       j.set("jit_bailouts", m.jit_bailouts);
+      j.set("safety_solver_calls", m.safety_solver_calls);
       // Workload provenance: finished jobs per traffic scenario
       // ("name@fingerprint" -> count). Empty until a job completes.
       util::Json scenarios;

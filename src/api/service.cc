@@ -509,9 +509,15 @@ ServiceMetrics CompilerService::metrics() const {
       m.event_backlog += job->events.size();
       m.events_dropped += job->dropped;
       if (job->terminal_locked()) {
-        if (job->resp.single) m.jit_bailouts += job->resp.single->jit_bailouts;
-        if (job->resp.batch)
+        if (job->resp.single) {
+          m.jit_bailouts += job->resp.single->jit_bailouts;
+          m.safety_solver_calls += job->resp.single->safety_solver_calls;
+        }
+        if (job->resp.batch) {
           m.jit_bailouts += job->resp.batch->totals.jit_bailouts;
+          m.safety_solver_calls +=
+              job->resp.batch->totals.safety_solver_calls;
+        }
         // Workload provenance: which scenario each finished job priced
         // under, keyed name@fingerprint so a renamed-but-identical file and
         // its catalog twin land in the same bucket.

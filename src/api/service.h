@@ -151,6 +151,9 @@ struct ServiceMetrics {
   // JIT fallbacks summed over terminal jobs' results (single and batch).
   // Always 0 while every request runs the default fast-interpreter backend.
   uint64_t jit_bailouts = 0;
+  // Safety checks Z3 settled (the pre-pass could not prove), summed the
+  // same way.
+  uint64_t safety_solver_calls = 0;
   // Terminal jobs per traffic scenario, keyed "name@fingerprint" (e.g.
   // "default@a1b2..."), from the same pass — workload provenance for the
   // serve `stats`/`metrics` ops.

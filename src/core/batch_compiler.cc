@@ -83,6 +83,7 @@ util::Json totals_to_json(const BatchTotals& t) {
   util::Json j;
   j.set("proposals", t.proposals);
   j.set("solver_calls", t.solver_calls);
+  j.set("safety_solver_calls", t.safety_solver_calls);
   j.set("cache_hits", t.cache_hits);
   j.set("cache_misses", t.cache_misses);
   j.set("tests_executed", t.tests_executed);
@@ -107,6 +108,8 @@ BatchTotals totals_from_json(const util::Json& j) {
   BatchTotals t;
   t.proposals = j.at("proposals").as_uint();
   t.solver_calls = j.at("solver_calls").as_uint();
+  if (const util::Json* v = j.get("safety_solver_calls"))
+    t.safety_solver_calls = v->as_uint();
   t.cache_hits = j.at("cache_hits").as_uint();
   t.cache_misses = j.at("cache_misses").as_uint();
   t.tests_executed = j.at("tests_executed").as_uint();
@@ -143,6 +146,7 @@ util::Json compile_result_to_json(const CompileResult& r) {
   j.set("final_tests", uint64_t(r.final_tests));
   j.set("proposals", r.total_proposals);
   j.set("solver_calls", r.solver_calls);
+  j.set("safety_solver_calls", r.safety_solver_calls);
   util::Json cache;
   cache.set("hits", r.cache.hits);
   cache.set("misses", r.cache.misses);
@@ -190,6 +194,8 @@ CompileResult compile_result_from_json(const util::Json& j) {
   r.final_tests = size_t(j.at("final_tests").as_uint());
   r.total_proposals = j.at("proposals").as_uint();
   r.solver_calls = j.at("solver_calls").as_uint();
+  if (const util::Json* v = j.get("safety_solver_calls"))
+    r.safety_solver_calls = v->as_uint();
   const util::Json& cache = j.at("cache");
   r.cache.hits = cache.at("hits").as_uint();
   r.cache.misses = cache.at("misses").as_uint();
@@ -459,6 +465,7 @@ BatchReport BatchCompiler::run(const BatchServices& bsvc) {
       const CompileResult& r = jr.result;
       report.totals.proposals += r.total_proposals;
       report.totals.solver_calls += r.solver_calls;
+      report.totals.safety_solver_calls += r.safety_solver_calls;
       report.totals.cache_hits += r.cache.hits;
       report.totals.cache_misses += r.cache.misses;
       report.totals.tests_executed += r.tests_executed;

@@ -95,6 +95,7 @@ struct BatchBenchmarkResult {
 struct BatchTotals {
   uint64_t proposals = 0;
   uint64_t solver_calls = 0;
+  uint64_t safety_solver_calls = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t tests_executed = 0;

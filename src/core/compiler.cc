@@ -242,6 +242,7 @@ CompileResult compile(const ebpf::Program& src, const CompileOptions& opts,
   for (const auto& cr : chain_results) {
     res.total_proposals += cr.stats.proposals;
     res.solver_calls += cr.stats.solver_calls;
+    res.safety_solver_calls += cr.stats.safety_solver_calls;
     res.early_exits += cr.stats.early_exits;
     res.tests_executed += cr.stats.tests_executed;
     res.tests_skipped += cr.stats.tests_skipped;

@@ -196,6 +196,9 @@ struct CompileResult {
 
   verify::EqCache::Stats cache;
   uint64_t solver_calls = 0;
+  // In-search safety checks the dataflow pre-pass could not prove and Z3
+  // settled (safety::SafetyResult::used_solver).
+  uint64_t safety_solver_calls = 0;
   uint64_t total_proposals = 0;
   size_t final_tests = 0;
   // Evaluation-pipeline totals across chains.

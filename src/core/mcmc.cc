@@ -285,6 +285,7 @@ ChainResult run_chain(const ebpf::Program& src, TestSuite& suite,
   st.test_prunes = ps.test_prunes;
   st.safety_rejects = ps.safety_rejects;
   st.solver_calls = ps.solver_calls;
+  st.safety_solver_calls = ps.safety_solver_calls;
   st.cache_hits = ps.cache_hits;
   st.early_exits = ps.early_exits;
   st.tests_executed = ps.tests_executed;

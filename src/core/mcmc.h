@@ -104,6 +104,7 @@ struct ChainStats {
   // counted at submit time in async mode, where a few may later be
   // cancelled and abandoned unsolved (CompileResult::solver_abandoned).
   uint64_t solver_calls = 0;
+  uint64_t safety_solver_calls = 0;  // safety checks settled by Z3
   uint64_t cache_hits = 0;
   // Pipeline observability (not part of the legacy-comparable set: the
   // legacy inline evaluation by construction has zero early exits). These

@@ -35,7 +35,8 @@ struct KReg {
     MAP_PTR,
     MAP_FD,
   } kind = UNINIT;
-  int64_t off = 0;    // pointer offset
+  int64_t off = 0;    // pointer offset (the least one, for PKT_PTR + var)
+  int64_t var = 0;    // PKT_PTR: the offset may exceed `off` by up to this
   int map_fd = -1;
   uint64_t umin = 0;  // scalar unsigned bounds
   uint64_t umax = kU64Max;
@@ -92,6 +93,7 @@ class Checker {
     for (const KReg& r : st.regs) {
       mix(uint64_t(r.kind) | (uint64_t(uint16_t(r.map_fd)) << 8));
       mix(uint64_t(r.off));
+      mix(uint64_t(r.var));
       mix(r.umin);
       mix(r.umax);
     }
@@ -151,7 +153,7 @@ bool Checker::check_mem(const KState& st, const Insn& insn, int pc,
     case KReg::PKT_PTR:
       if (prog_.type == ebpf::ProgType::TRACEPOINT)
         return reject("packet access from tracepoint", pc), false;
-      if (off < 0 || off + w > st.pkt_safe)
+      if (off < 0 || off + b.var + w > st.pkt_safe)
         return reject("packet access outside verified bounds", pc), false;
       return true;
     case KReg::MAP_PTR: {
@@ -197,7 +199,7 @@ bool Checker::check_call(KState& st, const Insn& insn, int pc) {
       return true;
     }
     if (a.kind == KReg::PKT_PTR)
-      return a.off >= 0 && a.off + int64_t(size) <= st.pkt_safe
+      return a.off >= 0 && a.off + a.var + int64_t(size) <= st.pkt_safe
                  ? true
                  : (reject("helper packet buffer out of bounds", pc), false);
     if (a.kind == KReg::MAP_PTR) {
@@ -325,9 +327,10 @@ bool Checker::explore(int pc, KState st) {
           delta = int64_t(srcp->umin);
         } else if (dst.kind == KReg::PKT_PTR && a.op == AluOp::ADD && srcp &&
                    srcp->umax <= 0xffff) {
-          // bounded variable packet offset: conservatively keep the pointer
-          // but invalidate verified bounds at the access site.
-          dst.off += int64_t(srcp->umax);  // pessimistic
+          // Bounded variable packet offset: accesses must fit at the largest
+          // offset, and data_end compares refine by the least one.
+          dst.off += int64_t(srcp->umin);
+          dst.var += int64_t(srcp->umax - srcp->umin);
           pc++;
           continue;
         } else {
@@ -369,7 +372,8 @@ bool Checker::explore(int pc, KState st) {
       if (insn.off < 0) return reject("back-edge in control flow", pc), false;
 
       KState taken = st, fall = st;
-      // Packet-bounds refinement: compare PKT_PTR+k against PKT_END.
+      // Packet-bounds refinement: compare PKT_PTR+k against PKT_END (k is
+      // the least offset when the pointer has a variable part).
       auto refine_pkt = [&](const KReg& p, bool fall_accessible_ge,
                             int64_t k) {
         // fall_accessible_ge: on the fall-through edge, data+k <= data_end.

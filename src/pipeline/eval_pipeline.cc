@@ -161,6 +161,7 @@ Eval EvalPipeline::evaluate(const ebpf::Program& cand,
     sopt.run_solver_checks =
         cfg_.safety.run_solver_checks && !cfg_.window_mode;
     safety::SafetyResult sres = safety::check_safety(cand, sopt);
+    if (sres.used_solver) stats_.safety_solver_calls++;
     // Checker-specific constraints (§6): K2's FOL safety is more precise
     // than the kernel checker (e.g. it knows packets are >= 14 bytes and
     // that an uninitialized stack read whose value is dead is harmless),

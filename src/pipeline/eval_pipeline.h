@@ -110,6 +110,7 @@ struct EvalStats {
   uint64_t solver_calls = 0;    // queries solved inline (sync) or submitted
                                 // to the dispatcher (async; submit-time
                                 // count — cancellation may abandon a few)
+  uint64_t safety_solver_calls = 0;  // safety checks the pre-pass left to Z3
   uint64_t cache_hits = 0;
   uint64_t early_exits = 0;     // test loops cut short by provable rejection
   uint64_t tests_executed = 0;

@@ -1,5 +1,7 @@
 #include "safety/safety.h"
 
+#include <algorithm>
+
 #include "analysis/cfg.h"
 #include "analysis/liveness.h"
 #include "analysis/typeinfer.h"
@@ -31,8 +33,6 @@ std::optional<Violation> static_checks(const ebpf::Program& prog,
                                        const analysis::TypeInfo& ti) {
   const int n = int(prog.insns.size());
 
-  if (auto err = ebpf::validate_structure(prog))
-    return Violation{*err, 0};
   if (!cfg.loop_free)
     return Violation{"control flow contains a back-edge (potential loop)", 0};
   for (int b = 0; b < cfg.num_blocks(); ++b) {
@@ -200,30 +200,207 @@ std::optional<Violation> static_checks(const ebpf::Program& prog,
   return std::nullopt;
 }
 
-}  // namespace
+// Structure first (the CFG builder assumes in-range jump targets), then
+// the CFG, types and static checks that every later stage relies on.
+std::optional<Violation> prepare(const ebpf::Program& prog, analysis::Cfg& cfg,
+                                 analysis::TypeInfo& ti) {
+  if (auto err = ebpf::validate_structure(prog)) return Violation{*err, 0};
+  cfg = analysis::build_cfg(prog);
+  ti = analysis::infer_types(prog, cfg);
+  if (!ti.ok)
+    return Violation{"type inference failed (backward control flow?)", -1};
+  return static_checks(prog, cfg, ti);
+}
 
-SafetyResult check_safety(const ebpf::Program& prog,
-                          const SafetyOptions& opts) {
-  SafetyResult res;
-  analysis::Cfg cfg = analysis::build_cfg(prog);
-  analysis::TypeInfo ti = analysis::infer_types(prog, cfg);
-  if (!ti.ok) {
-    res.reason = "type inference failed (backward control flow?)";
-    return res;
-  }
+// ---- Dataflow pre-pass: the solver's obligations, proven without it ------
 
-  if (auto v = static_checks(prog, cfg, ti)) {
-    res.reason = v->reason;
-    res.insn = v->insn;
-    return res;
-  }
-  if (!opts.run_solver_checks) {
-    res.safe = true;
-    return res;
-  }
+// Offsets beyond this magnitude are left to the solver, so no address
+// arithmetic below can wrap.
+constexpr int64_t kMaxTrackedOff = int64_t(1) << 20;
 
-  // ---- Solver-backed checks: packet bounds (path-sensitive) and stack
-  // read-before-write (§6). ------------------------------------------------
+bool tracked(const analysis::RegState& r) {
+  return r.off_known && r.off >= -kMaxTrackedOff && r.off <= kMaxTrackedOff;
+}
+
+// What holds on every path reaching a program point.
+struct Facts {
+  int64_t pkt = 0;           // the packet is at least this many bytes long
+  analysis::StackSet stack;  // bytes definitely written (bit i = r10-512+i)
+};
+
+bool pkt_in_bounds(const Facts& f, int64_t off, int64_t width) {
+  return off >= 0 && off <= kMaxTrackedOff && off + width <= f.pkt;
+}
+
+bool in_stack(int64_t off, int64_t width) {
+  return off >= -analysis::kStackSize && off + width <= 0;
+}
+
+bool stack_written(const Facts& f, int64_t off, int64_t width) {
+  if (!in_stack(off, width)) return false;
+  for (int64_t b = off; b < off + width; ++b)
+    if (!f.stack[size_t(b + analysis::kStackSize)]) return false;
+  return true;
+}
+
+// A helper's buffer argument: packet buffers must be in bounds and stack
+// buffers fully written; map-value buffers carry no solver obligation.
+bool buffer_proven(const Facts& f, const analysis::RegState& r,
+                   int64_t size) {
+  switch (r.type) {
+    case Rt::PTR_PKT: return tracked(r) && pkt_in_bounds(f, r.off, size);
+    case Rt::PTR_STACK: return tracked(r) && stack_written(f, r.off, size);
+    case Rt::PTR_MAP_VALUE: return true;
+    default: return false;
+  }
+}
+
+// A helper call's buffer obligations: map keys and values, csum_diff
+// buffers. False for helpers the pre-pass does not model.
+bool call_proven(const ebpf::Program& prog, const Facts& f, const Insn& insn,
+                 const analysis::RegFile& rf) {
+  auto map = [&]() -> const ebpf::MapDef& {
+    return prog.maps[size_t(rf[1].map_fd)];
+  };
+  // The encoder refuses csum_diff sizes that are not concrete multiples of
+  // 4 up to 512.
+  auto csum_size = [](const analysis::RegState& r) {
+    return r.val_known && r.val % 4 == 0 && r.val <= 512;
+  };
+  switch (insn.imm) {
+    case ebpf::HELPER_MAP_LOOKUP:
+    case ebpf::HELPER_MAP_DELETE:
+      return buffer_proven(f, rf[2], map().key_size);
+    case ebpf::HELPER_MAP_UPDATE:
+      return buffer_proven(f, rf[2], map().key_size) &&
+             buffer_proven(f, rf[3], map().value_size);
+    case ebpf::HELPER_CSUM_DIFF:
+      return csum_size(rf[2]) && csum_size(rf[4]) &&
+             (rf[4].val == 0 || buffer_proven(f, rf[3], int64_t(rf[4].val))) &&
+             (rf[2].val == 0 || buffer_proven(f, rf[1], int64_t(rf[2].val)));
+    case ebpf::HELPER_KTIME_GET_NS:
+    case ebpf::HELPER_GET_PRANDOM_U32:
+    case ebpf::HELPER_GET_SMP_PROC_ID:
+    case ebpf::HELPER_REDIRECT_MAP:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// An unsigned compare of a packet pointer against data_end proves, on one
+// edge, that the packet holds `bytes` bytes.
+struct PktRefinement {
+  bool on_taken;
+  int64_t bytes;
+};
+
+std::optional<PktRefinement> pkt_refinement(const Insn& insn,
+                                            const analysis::RegFile& rf) {
+  ebpf::JmpShape j;
+  if (!ebpf::decompose_jmp(insn.op, &j) || j.is_imm) return std::nullopt;
+  const analysis::RegState& a = rf[insn.dst];
+  const analysis::RegState& b = rf[insn.src];
+  bool pkt_end = a.type == Rt::PTR_PKT && b.type == Rt::PTR_PKT_END;
+  bool end_pkt = a.type == Rt::PTR_PKT_END && b.type == Rt::PTR_PKT;
+  if (!(pkt_end || end_pkt) || !tracked(a) || !tracked(b))
+    return std::nullopt;
+  // data + p <= data_end + e  <=>  pkt_len >= p - e  (no wrap: both small).
+  int64_t k = pkt_end ? a.off - b.off : b.off - a.off;
+  switch (j.cond) {
+    case ebpf::JmpCond::JGT:
+      return pkt_end ? PktRefinement{false, k} : PktRefinement{true, k + 1};
+    case ebpf::JmpCond::JGE:
+      return pkt_end ? PktRefinement{false, k + 1} : PktRefinement{true, k};
+    case ebpf::JmpCond::JLT:
+      return pkt_end ? PktRefinement{true, k + 1} : PktRefinement{false, k};
+    case ebpf::JmpCond::JLE:
+      return pkt_end ? PktRefinement{true, k} : PktRefinement{false, k + 1};
+    default:
+      return std::nullopt;
+  }
+}
+
+// True when every obligation the solver path would check is proven: each
+// packet access (LDX/ST/STX/XADD and helper buffers) lies within bytes a
+// dominating data_end compare (or the minimum frame) guarantees, and each
+// stack read (LDX/XADD and helper buffers) covers only bytes written on
+// every path. Gives up — returns false — on whatever it cannot track
+// exactly, and on anything the encoder might refuse to encode. Requires
+// the static checks to have passed.
+bool obligations_proven(const ebpf::Program& prog, const analysis::Cfg& cfg,
+                        const analysis::TypeInfo& ti,
+                        const verify::EncoderOpts& enc) {
+  for (const Insn& insn : prog.insns) {
+    // adjust_head moves the packet start; the encoder models it symbolically.
+    if (insn.op == Opcode::CALL && insn.imm == ebpf::HELPER_XDP_ADJUST_HEAD)
+      return false;
+    if (ebpf::is_jump(insn.op) && insn.off < 0) return false;
+  }
+  std::vector<std::optional<Facts>> in(size_t(cfg.num_blocks()));
+  if (!in.empty()) in[0] = Facts{enc.min_pkt, {}};
+  auto merge = [&](int target_insn, const Facts& f) {
+    std::optional<Facts>& dst = in[size_t(cfg.block_of[size_t(target_insn)])];
+    if (!dst) {
+      dst = f;
+    } else {
+      dst->pkt = std::min(dst->pkt, f.pkt);
+      dst->stack &= f.stack;
+    }
+  };
+
+  const int n = int(prog.insns.size());
+  for (int b = 0; b < cfg.num_blocks(); ++b) {
+    if (!cfg.reachable[size_t(b)]) continue;
+    if (!in[size_t(b)]) return false;
+    Facts f = *in[size_t(b)];
+    const analysis::BasicBlock& blk = cfg.blocks[size_t(b)];
+    for (int i = blk.start; i < blk.end; ++i) {
+      const Insn& insn = prog.insns[size_t(i)];
+      if (ebpf::is_mem_access(insn.op)) {
+        auto ai = analysis::access_info(prog, ti, i);
+        bool reads = ebpf::is_mem_load(insn.op) ||
+                     ebpf::insn_class(insn.op) == InsnClass::XADD;
+        if (ai->region == Rt::PTR_PKT) {
+          if (!ai->off_known || !pkt_in_bounds(f, ai->off, ai->width))
+            return false;
+        } else if (ai->region == Rt::PTR_STACK) {
+          if (!ai->off_known || !in_stack(ai->off, ai->width)) return false;
+          if (reads && !stack_written(f, ai->off, ai->width)) return false;
+          if (ebpf::is_mem_store(insn.op))
+            for (int64_t o = ai->off; o < ai->off + ai->width; ++o)
+              f.stack.set(size_t(o + analysis::kStackSize));
+        }
+      } else if (insn.op == Opcode::CALL &&
+                 !call_proven(prog, f, insn, ti.before[size_t(i)])) {
+        return false;
+      }
+    }
+    // Hand the facts to the successors.
+    const Insn& last = prog.insns[size_t(blk.end - 1)];
+    if (ebpf::is_cond_jump(last.op)) {
+      Facts taken = f;
+      if (auto r = pkt_refinement(last, ti.before[size_t(blk.end - 1)])) {
+        Facts& refined = r->on_taken ? taken : f;
+        refined.pkt = std::max(refined.pkt, r->bytes);
+      }
+      merge(blk.end, f);
+      merge(blk.end + last.off, taken);
+    } else if (last.op == Opcode::JA) {
+      merge(blk.end + last.off, f);
+    } else if (last.op != Opcode::EXIT && blk.end < n) {
+      merge(blk.end, f);
+    }
+  }
+  return true;
+}
+
+// ---- Solver-backed checks: packet bounds (path-sensitive) and stack
+// read-before-write (§6). ---------------------------------------------------
+
+void solver_checks(const ebpf::Program& prog, const SafetyOptions& opts,
+                   SafetyResult& res) {
+  res.used_solver = true;
   z3::context c;
   verify::World world(c, prog, opts.enc);
   std::vector<z3::expr> witness;
@@ -234,7 +411,7 @@ SafetyResult check_safety(const ebpf::Program& prog,
   if (!enc.ok) {
     res.reason = "not encodable: " + enc.error;
     res.insn = enc.error_insn;
-    return res;
+    return;
   }
 
   z3::solver s(c);
@@ -278,14 +455,51 @@ SafetyResult check_safety(const ebpf::Program& prog,
         z3::ule(ar.addr + c.bv_val(uint64_t(ar.width), 64), data_end);
     if (check_violation(ar.pc && !in_bounds,
                         "packet access may be out of bounds", ar.insn_idx))
-      return res;
+      return;
   }
   for (const auto& [insn, cond] : enc.uncovered_stack_reads) {
-    if (check_violation(cond, "stack read before write", insn)) return res;
+    if (check_violation(cond, "stack read before write", insn)) return;
   }
-
   res.safe = true;
+}
+
+SafetyResult check(const ebpf::Program& prog, const SafetyOptions& opts,
+                   bool use_prepass) {
+  SafetyResult res;
+  analysis::Cfg cfg;
+  analysis::TypeInfo ti;
+  if (auto v = prepare(prog, cfg, ti)) {
+    res.reason = v->reason;
+    res.insn = v->insn;
+    return res;
+  }
+  if (!opts.run_solver_checks ||
+      (use_prepass && obligations_proven(prog, cfg, ti, opts.enc))) {
+    res.safe = true;
+    return res;
+  }
+  solver_checks(prog, opts, res);
   return res;
+}
+
+}  // namespace
+
+SafetyResult check_safety(const ebpf::Program& prog,
+                          const SafetyOptions& opts) {
+  return check(prog, opts, /*use_prepass=*/true);
+}
+
+SafetyResult check_safety_with_solver(const ebpf::Program& prog,
+                                      const SafetyOptions& opts) {
+  return check(prog, opts, /*use_prepass=*/false);
+}
+
+bool prepass_proves_safe(const ebpf::Program& prog,
+                         const SafetyOptions& opts) {
+  analysis::Cfg cfg;
+  analysis::TypeInfo ti;
+  return !prepare(prog, cfg, ti) &&
+         obligations_proven(prog, cfg, ti, opts.enc);
 }
 
 }  // namespace k2::safety

@@ -60,6 +60,21 @@ TEST(CfgTest, BackEdgeFlagsLoop) {
   EXPECT_FALSE(build_cfg(p).loop_free);
 }
 
+TEST(CfgTest, OutOfRangeJumpTargetsGetNoBlock) {
+  // Targets -1 and 3 lie outside the 3-instruction program: neither may
+  // become a block leader (block_of[-1] would be an out-of-range write).
+  ebpf::Program p = assemble("mov64 r0, 0\nmov64 r2, 0\nexit\n");
+  p.insns[0] = ebpf::Insn{ebpf::Opcode::JLT_REG, 10, 8, -2, 0};
+  p.insns[1] = ebpf::Insn{ebpf::Opcode::JA, 0, 0, 1, 0};
+  Cfg cfg = build_cfg(p);
+  for (const BasicBlock& b : cfg.blocks) {
+    EXPECT_GE(b.start, 0);
+    EXPECT_LT(b.start, 3);
+    EXPECT_GT(b.end, b.start);
+  }
+  for (int b : cfg.block_of) EXPECT_GE(b, 0);
+}
+
 TEST(CfgTest, ReachabilityMatrix) {
   Cfg cfg = build_cfg(assemble(
       "jeq r1, 0, b\n"

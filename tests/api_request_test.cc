@@ -213,6 +213,7 @@ TEST(ApiResponse, RoundTripAndStateStrings) {
   r.best_perf = 27;
   r.total_proposals = 123;
   r.solver_calls = 9;
+  r.safety_solver_calls = 2;
   r.cache.hits = 4;
   r.cache.misses = 5;
   resp.single = r;
@@ -225,6 +226,7 @@ TEST(ApiResponse, RoundTripAndStateStrings) {
   EXPECT_EQ(j, back.to_json());
   EXPECT_EQ(back.best_asm, resp.best_asm);
   EXPECT_EQ(back.single->total_proposals, 123u);
+  EXPECT_EQ(back.single->safety_solver_calls, 2u);
 
   api::JobState st;
   EXPECT_TRUE(api::job_state_from_string("CANCELLED", &st));

@@ -112,6 +112,21 @@ TEST(ApiServe, SubmitEventsResultShutdownRoundTrip) {
   EXPECT_TRUE(replies[4].at("shutdown").as_bool());
 }
 
+TEST(ApiServe, MetricsCountSafetyChecksSettledBySolver) {
+  api::CompilerService service({/*threads=*/1});
+  api::CompileRequest req = api::CompileRequest::for_benchmark("xdp_pktcntr");
+  req.iters_per_chain = 60;
+  req.num_chains = 1;
+  api::JobHandle job = service.submit(std::move(req));
+  job.wait();
+  ASSERT_EQ(job.state(), api::JobState::DONE);
+  uint64_t expected = job.response().single->safety_solver_calls;
+  util::Json stats = roundtrip(service, R"({"op":"stats"})");
+  util::Json metrics = roundtrip(service, R"({"op":"metrics"})");
+  EXPECT_EQ(stats.at("safety_solver_calls").as_uint(), expected);
+  EXPECT_EQ(metrics.at("safety_solver_calls").as_uint(), expected);
+}
+
 TEST(ApiServe, ResultBeforeTerminalIsAnErrorAndCancelWorks) {
   api::CompilerService service({/*threads=*/1});
   bool stop = false;

@@ -144,6 +144,19 @@ TEST(BatchCompilerTest, ReportJsonRoundTrips) {
                std::runtime_error);
 }
 
+TEST(BatchCompilerTest, SafetySolverCallsSumOverJobs) {
+  BatchOptions b = quick_batch();
+  b.base.iters_per_chain = 60;
+  BatchReport r = BatchCompiler(b).run();
+  uint64_t per_job = 0;
+  for (const BatchBenchmarkResult& bench : r.benchmarks)
+    for (const BatchJobResult& j : bench.jobs)
+      per_job += j.result.safety_solver_calls;
+  EXPECT_EQ(r.totals.safety_solver_calls, per_job);
+  EXPECT_EQ(BatchReport::from_json(r.to_json()).totals.safety_solver_calls,
+            r.totals.safety_solver_calls);
+}
+
 TEST(BatchCompilerTest, UnknownBenchmarkThrowsBeforeRunning) {
   BatchOptions b = quick_batch();
   b.benchmarks = {"no_such_benchmark"};

@@ -5,6 +5,7 @@
 #include "corpus/corpus.h"
 #include "ebpf/assembler.h"
 #include "kernel/kernel_checker.h"
+#include "safety/safety.h"
 
 namespace k2::kernel {
 namespace {
@@ -97,6 +98,51 @@ TEST(KernelCheckerTest, ReverseComparisonAlsoRefines) {
       "mov64 r0, 0\n"
       "exit\n";
   EXPECT_TRUE(check(body).accepted);
+}
+
+TEST(KernelCheckerTest, VariableOffsetCompareRefinesByLeastOffset) {
+  // r3 = data + r2 with r2 in [0, 0xffff]: r3 + 1 <= data_end proves only
+  // one byte, so the load at byte 60 is out of verified bounds (K2's own
+  // checker rejects it with a counterexample, too).
+  std::string body =
+      "ldxdw r6,[r1+0]\n"
+      "ldxdw r7,[r1+8]\n"
+      "stw [r10-8],0\n"
+      "ldxh r2,[r10-8]\n"
+      "mov64 r3,r6\n"
+      "add64 r3,r2\n"
+      "mov64 r4,r3\n"
+      "add64 r4,1\n"
+      "jgt r4,r7,+2\n"
+      "ldxb r0,[r6+60]\n"
+      "exit\n"
+      "mov64 r0,0\n"
+      "exit\n";
+  EXPECT_FALSE(check(body).accepted);
+  safety::SafetyResult k2 = safety::check_safety(assemble(body));
+  EXPECT_FALSE(k2.safe);
+  EXPECT_TRUE(k2.cex.has_value());
+  // Bytes below the least offset are verified; an access through the
+  // variable pointer must fit at its largest offset.
+  std::string least =
+      "ldxdw r6, [r1+0]\n"
+      "ldxdw r7, [r1+8]\n"
+      "stw [r10-8], 0\n"
+      "ldxh r2, [r10-8]\n"
+      "mov64 r3, r6\n"
+      "add64 r3, r2\n"
+      "mov64 r4, r3\n"
+      "add64 r4, 20\n"
+      "jgt r4, r7, out\n"
+      "ldxb r0, [r6+19]\n"
+      "exit\n"
+      "out:\n"
+      "mov64 r0, 0\n"
+      "exit\n";
+  EXPECT_TRUE(check(least).accepted);
+  std::string via_var = least;
+  via_var.replace(via_var.find("[r6+19]"), 7, "[r3+0]");
+  EXPECT_FALSE(check(via_var).accepted);
 }
 
 TEST(KernelCheckerTest, MapNullCheckEnforced) {

@@ -257,6 +257,20 @@ TEST(EvalPipelineDifferential, OptimizationsActuallyEngage) {
   EXPECT_LE(r.stats.early_exits, r.stats.test_prunes);
 }
 
+TEST(EvalPipelineDifferential, SafetyPrepassLeavesFewChecksToSolver) {
+  // Candidates that pass the tests reach the safety stage; the dataflow
+  // pre-pass settles almost all of them, and the stats count the ones Z3
+  // still settles (this seed produces one).
+  const ebpf::Program& src = corpus::benchmark("xdp_pktcntr").o2;
+  ChainConfig cfg = diff_config(1200, 13, false);
+  TestSuite suite(src, generate_tests(src, 8, 3));
+  verify::EqCache cache;
+  ChainResult r = run_chain(src, suite, cache, cfg);
+  uint64_t safety_checks = r.stats.proposals - r.stats.test_prunes;
+  EXPECT_GT(r.stats.safety_solver_calls, 0u);
+  EXPECT_LT(r.stats.safety_solver_calls * 10, safety_checks);
+}
+
 // ---------------------------------------------------------------------------
 // Async solver dispatch (ISSUE 2): pool size 0 must stay bit-identical to
 // the PR 1 sync path; with workers, speculation must retire every frame and

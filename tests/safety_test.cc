@@ -3,6 +3,7 @@
 // read-before-write, and safety counterexamples.
 #include <gtest/gtest.h>
 
+#include "corpus/corpus.h"
 #include "ebpf/assembler.h"
 #include "interp/interpreter.h"
 #include "safety/safety.h"
@@ -224,6 +225,17 @@ TEST(SafetyTest, BackwardJumpRejected) {
   p.insns.push_back(ebpf::Insn{ebpf::Opcode::JA, 0, 0, -2, 0});
   p.insns.push_back(ebpf::Insn{ebpf::Opcode::EXIT, 0, 0, 0, 0});
   EXPECT_FALSE(check_safety(p).safe);
+}
+
+TEST(SafetyTest, OutOfRangeJumpTargetRejected) {
+  // A one-instruction mutant whose jump targets instruction -1: rejected as
+  // structurally invalid before any CFG or type inference runs on it.
+  ebpf::Program p = corpus::benchmark("xdp_router_ipv4").o2;
+  p.insns[1] = ebpf::Insn{ebpf::Opcode::JLT_REG, 10, 8, -3, 0};
+  SafetyResult r = check_safety(p);
+  EXPECT_FALSE(r.safe);
+  EXPECT_NE(r.reason.find("jump out of bounds"), std::string::npos);
+  EXPECT_FALSE(r.used_solver);
 }
 
 TEST(SafetyTest, StaticOnlyModeSkipsSolver) {

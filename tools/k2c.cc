@@ -302,10 +302,11 @@ int run_single(const util::Flags& f) {
           res.total_secs, res.cache.hit_rate() * 100);
   fprintf(stderr,
           "k2c: pipeline: %llu tests run, %llu skipped by early exit "
-          "(%llu exits)\n",
+          "(%llu exits), %llu safety checks settled by Z3\n",
           static_cast<unsigned long long>(res.tests_executed),
           static_cast<unsigned long long>(res.tests_skipped),
-          static_cast<unsigned long long>(res.early_exits));
+          static_cast<unsigned long long>(res.early_exits),
+          static_cast<unsigned long long>(res.safety_solver_calls));
   if (res.speculations > 0)
     fprintf(stderr,
             "k2c: async dispatch: %llu speculations (%llu rollbacks, "
