@@ -37,6 +37,7 @@ struct Phases {
 Phases time_solver_path(const ebpf::Program& p,
                         const safety::SafetyOptions& opts) {
   Phases ph;
+  verify::pin_malloc_for_z3();
   auto t = Clock::now();
   auto* c = new z3::context;
   ph.create = ms_since(t);

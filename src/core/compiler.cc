@@ -295,19 +295,23 @@ CompileResult compile(const ebpf::Program& src, const CompileOptions& opts,
   // — the pool's destructor executes leftover queued work, which must not
   // touch freed locals. An RAII guard rather than straight-line code so the
   // drain also happens when a task exception (e.g. z3::exception) unwinds
-  // through get(). Both are inert in sequential mode.
+  // through get(). Both are inert in sequential mode. Every wait on a memo
+  // future goes through pool->wait(): compile() may itself run on a pool
+  // worker (service jobs do), and a bare get() there blocks the thread that
+  // would run the task.
   std::atomic<bool> cancelled{false};
   std::unordered_map<uint64_t, std::shared_future<FinalVerify>> memo;
   std::unordered_map<uint64_t, FinalVerify> seq_memo;
   struct MemoDrain {
+    pipeline::ThreadPool* pool;
     std::atomic<bool>& cancelled;
     std::unordered_map<uint64_t, std::shared_future<FinalVerify>>& memo;
     ~MemoDrain() {
       cancelled.store(true, std::memory_order_release);
       for (auto& [h, fut] : memo)
-        if (fut.valid()) fut.wait();
+        if (fut.valid()) pool->wait(fut);
     }
-  } drain{cancelled, memo};
+  } drain{pool, cancelled, memo};
   auto ensure_submitted = [&](size_t idx) {
     ensure_out(idx);
     uint64_t h = hashes[idx];
@@ -333,7 +337,9 @@ CompileResult compile(const ebpf::Program& src, const CompileOptions& opts,
     for (size_t j = idx + 1, ahead = 1; j < all.size() && ahead < lookahead;
          ++j, ++ahead)
       ensure_submitted(j);
-    return memo.at(hashes[idx]).get();
+    const std::shared_future<FinalVerify>& fut = memo.at(hashes[idx]);
+    pool->wait(fut);
+    return fut.get();
   };
 
   std::vector<uint64_t> seen_hashes;

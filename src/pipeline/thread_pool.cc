@@ -100,26 +100,21 @@ void ThreadPool::worker_loop(int index) {
   tl_index = -1;
 }
 
+bool ThreadPool::run_one() {
+  std::function<void()> task;
+  if (!try_get_task(worker_index(), task)) return false;
+  task();
+  return true;
+}
+
 void ThreadPool::run_all(std::vector<std::function<void()>> fns) {
   std::vector<std::future<void>> futs;
   futs.reserve(fns.size());
   for (auto& fn : fns) futs.push_back(submit(std::move(fn)));
-  // Help drain the pool instead of blocking: matters when the caller is the
-  // only runnable thread (1-core machines) or itself a pool worker. All
-  // futures are waited before any result is consumed, so a task exception
-  // propagates only once every sibling has finished touching shared state.
-  std::function<void()> task;
-  for (auto& f : futs) {
-    while (f.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (try_get_task(worker_index(), task)) {
-        task();
-        task = nullptr;
-      } else {
-        f.wait_for(std::chrono::milliseconds(1));
-      }
-    }
-  }
+  // All futures are waited before any result is consumed, so a task
+  // exception propagates only once every sibling has finished touching
+  // shared state.
+  for (auto& f : futs) wait(f);
   for (auto& f : futs) f.get();
 }
 

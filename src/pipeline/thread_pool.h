@@ -10,15 +10,20 @@
 // verify::AsyncSolverDispatcher pool instead — a handful of hard solver
 // calls here would starve every chain.
 //
-// Thread-safety: submit() and run_all() are safe from any thread, including
-// pool workers (a worker's submission lands on its own deque; run_all's
-// caller lends a hand draining the queue instead of sleeping, so nested use
-// cannot deadlock). submit() never blocks on task execution; run_all()
-// blocks until every passed task finished. The destructor executes any
-// still-queued tasks before joining, so submitted closures must stay valid
-// until their future is ready or the pool is destroyed.
+// Thread-safety: submit(), wait() and run_all() are safe from any thread,
+// including pool workers (a worker's submission lands on its own deque; a
+// waiting caller lends a hand draining the queue instead of sleeping, so
+// nested use cannot deadlock). submit() never blocks on task execution;
+// wait() and run_all() block until their futures are ready. Code that may
+// run on a worker must wait through wait(), never a bare get()/wait() on a
+// pool future: with every worker blocked, nothing runs the task. The
+// destructor executes any still-queued tasks before joining, so submitted
+// closures must stay valid until their future is ready or the pool is
+// destroyed.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -58,10 +63,19 @@ class ThreadPool {
     return fut;
   }
 
-  // Runs all `fns` on the pool and blocks until every one finished. The
-  // calling thread lends a hand by executing queued tasks instead of just
-  // sleeping, so a 1-thread pool still makes progress when called from the
-  // driver thread.
+  // Blocks until `fut` (a std::future or std::shared_future) is ready,
+  // executing queued tasks meanwhile instead of just sleeping, so a 1-thread
+  // pool still makes progress when the caller is its only worker. Does not
+  // consume the result.
+  template <typename Future>
+  void wait(const Future& fut) {
+    while (fut.wait_for(std::chrono::seconds(0)) !=
+           std::future_status::ready)
+      if (!run_one()) fut.wait_for(std::chrono::milliseconds(1));
+  }
+
+  // Runs all `fns` on the pool and blocks until every one finished, helping
+  // as wait() does.
   void run_all(std::vector<std::function<void()>> fns);
 
  private:
@@ -71,6 +85,8 @@ class ThreadPool {
   };
 
   void enqueue(std::function<void()> fn);
+  // Executes one queued task on the calling thread; false if none was queued.
+  bool run_one();
   // Pops from own deque (back) or steals from a victim (front).
   bool try_get_task(int self, std::function<void()>& out);
   void worker_loop(int index);

@@ -401,6 +401,7 @@ bool obligations_proven(const ebpf::Program& prog, const analysis::Cfg& cfg,
 void solver_checks(const ebpf::Program& prog, const SafetyOptions& opts,
                    SafetyResult& res) {
   res.used_solver = true;
+  verify::pin_malloc_for_z3();
   z3::context c;
   verify::World world(c, prog, opts.enc);
   std::vector<z3::expr> witness;

@@ -1,6 +1,11 @@
 #include "verify/encoder.h"
 
 #include <cassert>
+#include <mutex>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "ebpf/helpers_def.h"
 #include "ebpf/semantics.h"
@@ -22,6 +27,13 @@ constexpr int64_t kEnoent = -2;
 constexpr int64_t kEinval = -22;
 
 }  // namespace
+
+void pin_malloc_for_z3() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 4 << 20); });
+#endif
+}
 
 // ---- World ---------------------------------------------------------------
 

@@ -36,6 +36,13 @@
 
 namespace k2::verify {
 
+// Call before creating a z3::context. A solver call frees and re-allocates
+// large blocks at a high rate; glibc's dynamic mmap threshold answers big
+// frees by raising the mmap and trim thresholds, so that churn stays
+// resident. Pinning the threshold at 4 MiB, once per process, turns the
+// dynamic adjustment off. A no-op without glibc.
+void pin_malloc_for_z3();
+
 struct EncoderOpts {
   bool mem_type_concretization = true;   // optimization I
   bool map_type_concretization = true;   // optimization II

@@ -77,6 +77,7 @@ EqResult check_equivalence(const ebpf::Program& src, const ebpf::Program& cand,
                            const EqOptions& opts) {
   EqResult res;
   auto t0 = Clock::now();
+  pin_malloc_for_z3();
   z3::context c;
   World world(c, src, opts.enc);
 

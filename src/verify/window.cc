@@ -115,6 +115,7 @@ EqResult check_window_equivalence(const ebpf::Program& orig,
   ebpf::Program w1 = slice(orig_body);
   ebpf::Program w2 = slice(replacement);
 
+  pin_malloc_for_z3();
   z3::context c;
   EncoderOpts eo = opts.enc;
   eo.symbolic_stack_init = true;  // the prefix may have written the stack

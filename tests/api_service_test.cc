@@ -143,6 +143,35 @@ TEST(ApiService, ShuffledConcurrentJobsMatchSerialRuns) {
   }
 }
 
+// Non-deterministic jobs run on a pool worker and put their chains and
+// final re-verification on that same pool. Waiting without helping would
+// leave a 1-thread service, or N such jobs on N threads, with no thread to
+// run those tasks.
+TEST(ApiService, ParallelJobOnOneThreadServiceFinishes) {
+  CompilerService service({/*threads=*/1});
+  api::JobHandle job =
+      service.submit(small_request("xdp_map_access", 7).parallel_chains());
+  job.wait();
+  EXPECT_EQ(job.response().state, JobState::DONE) << job.response().error;
+}
+
+TEST(ApiService, ConcurrentParallelJobsFillingTheServiceFinish) {
+  // Twice as many identical jobs as workers: idle workers steal queued jobs
+  // before final-verification tasks, so without helping every worker ends
+  // up waiting on its own job's tasks at once. N jobs on N workers reach
+  // that state only on some interleavings.
+  constexpr int kThreads = 2;
+  CompilerService service({kThreads});
+  std::vector<api::JobHandle> jobs;
+  for (int i = 0; i < 2 * kThreads; ++i)
+    jobs.push_back(service.submit(
+        small_request("xdp_map_access", 7).parallel_chains()));
+  for (api::JobHandle& j : jobs) {
+    j.wait();
+    EXPECT_EQ(j.response().state, JobState::DONE) << j.response().error;
+  }
+}
+
 TEST(ApiService, EventStreamIsMonotonicAndWellFormed) {
   CompilerService service({/*threads=*/1, /*solver_workers=*/0,
                            /*tick_every=*/32});

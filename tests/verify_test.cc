@@ -3,6 +3,9 @@
 // the Table-11 rewrite case studies; cache behaviour.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+
 #include "analysis/dce.h"
 #include "ebpf/assembler.h"
 #include "interp/interpreter.h"
@@ -396,6 +399,28 @@ TEST(CacheTest, FingerprintIsIndependentOfPrimaryHash) {
   ebpf::Program c3 = assemble("mov64 r0, 2\nexit\n");
   EqCache::Key k3 = EqCache::key_for(src, c3);
   EXPECT_NE(k1.fp, k3.fp);
+}
+
+// ---- z3++.h term lifetime ---------------------------------------------------
+
+// The encoder folds terms by move-assignment (`acc = acc && e`). Z3 4.8.x's
+// ast::operator=(ast&&) drops the old term without Z3_dec_ref, and deleting
+// the context then sweeps every leaked term: about 2.5 s for this chain,
+// against about 1 ms when the build's patched header releases each one.
+// Deletion time is the only observable; Z3_get_estimated_alloc_size() does
+// not fall either way, because freed nodes go to Z3's own free lists.
+TEST(Z3HeaderTest, MoveAssignmentReleasesOverwrittenTerm) {
+  auto c = std::make_unique<z3::context>();
+  {
+    z3::expr a = c->bv_const("a", 64);
+    for (int k = 0; k < 2000; ++k) a = a + c->bv_val(k, 64);
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  c.reset();
+  double ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  EXPECT_LT(ms, 250.0) << "z3::context teardown swept leaked terms";
 }
 
 // ---- Encoder ablations (correctness under all optimization settings) -------
